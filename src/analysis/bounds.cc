@@ -95,25 +95,37 @@ intervalBound(const DepDag &dag, const Module &mod, uint64_t cp,
     starts = sampleEndpoints(starts, maxIntervalEndpoints);
     finishes = sampleEndpoints(finishes, maxIntervalEndpoints);
 
+    // Bucket each op once: by the first sampled finish that covers it
+    // (rounding an op up to a later sampled finish only *widens* the
+    // window it is counted in — still sound) and by the last sampled
+    // start at or before its own start. Every op has es >= starts[0]
+    // and lf <= finishes.back(): sampling keeps both extremes.
+    const size_t num_starts = starts.size();
+    const size_t num_finishes = finishes.size();
+    std::vector<uint64_t> bucket_touches(num_starts * num_finishes, 0);
+    for (size_t i = 0; i < n; ++i) {
+        size_t s = std::upper_bound(starts.begin(), starts.end(), es[i]) -
+                   starts.begin() - 1;
+        size_t f = std::lower_bound(finishes.begin(), finishes.end(),
+                                    lf[i]) -
+                   finishes.begin();
+        uint64_t &cell = bucket_touches[s * num_finishes + f];
+        cell = satAdd(cell, mod.op(i).operands.size());
+    }
+
+    // Sweep the sampled starts from latest to earliest: the ops with
+    // es >= a are exactly the start buckets at or after a's, so each
+    // bucket joins `load` once. The prefix sum over finishes then gives
+    // the load of every window [a, b). Saturating sums of non-negative
+    // terms do not depend on order, so the loads equal a per-start
+    // rescan of all ops.
     uint64_t max_excess = 0;
-    std::vector<uint64_t> load(finishes.size());
-    for (uint64_t a : starts) {
-        std::fill(load.begin(), load.end(), 0);
-        // Bucket each op contained past `a` by the first sampled finish
-        // that covers it; the prefix sum then gives the load of every
-        // window [a, b). Rounding an op up to a later sampled finish
-        // only *widens* the window it is counted in — still sound.
-        for (size_t i = 0; i < n; ++i) {
-            if (es[i] < a)
-                continue;
-            size_t bucket = std::lower_bound(finishes.begin(),
-                                             finishes.end(), lf[i]) -
-                            finishes.begin();
-            load[bucket] =
-                satAdd(load[bucket], mod.op(i).operands.size());
-        }
+    std::vector<uint64_t> load(num_finishes, 0);
+    for (size_t s = num_starts; s-- > 0;) {
+        const uint64_t a = starts[s];
         uint64_t running = 0;
-        for (size_t j = 0; j < finishes.size(); ++j) {
+        for (size_t j = 0; j < num_finishes; ++j) {
+            load[j] = satAdd(load[j], bucket_touches[s * num_finishes + j]);
             running = satAdd(running, load[j]);
             const uint64_t b = finishes[j];
             if (b <= a)

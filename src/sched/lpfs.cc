@@ -194,32 +194,32 @@ struct LpfsState
         committedThisStep.clear();
     }
 
-    /** Drop scheduled / stale entries from the front of the ready list. */
+    /**
+     * Drop every scheduled entry from the ready list in one
+     * order-preserving pass. Readers of `ready` skip scheduled entries
+     * anyway, so this changes no first-seen tie-break; it only keeps
+     * each scan proportional to the live ready set.
+     */
     void
     pruneReady()
     {
-        while (!ready.empty() && scheduled[ready.front()])
-            ready.pop_front();
+        std::erase_if(ready, [this](uint32_t op) { return scheduled[op]; });
     }
 
     /**
      * Fill @p slot with ready free-list (non-path) ops of @p kind that
      * the affinity rules allow into @p region, until the qubit budget
-     * runs out. Entries are taken in FIFO order.
-     *
-     * commit() appends newly readied successors to the deque, so we
-     * iterate the pre-call prefix by index (deque indices stay valid
-     * across push_back); scheduled entries are skipped lazily and
-     * reclaimed by pruneReady().
+     * runs out. Entries are taken in FIFO order; entries scheduled
+     * earlier this step are skipped here and reclaimed by pruneReady().
+     * The deque does not grow meanwhile: endOfStep(), not commit(),
+     * appends newly readied successors.
      */
     void
     fillWithType(ScheduleBuilder::DraftSlot &slot, GateKind kind,
                  uint64_t &budget, unsigned region, int64_t adopted = -1)
     {
         slot.kind = kind;
-        size_t prefix = ready.size();
-        for (size_t i = 0; i < prefix; ++i) {
-            uint32_t op = ready[i];
+        for (uint32_t op : ready) {
             if (scheduled[op] || onPath[op] || mod.op(op).kind != kind)
                 continue;
             if (static_cast<int64_t>(op) != adopted &&

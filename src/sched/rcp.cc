@@ -23,8 +23,10 @@ struct RcpState
     const Module &mod;
     const MultiSimdArch &arch;
     DepDag dag;
-    std::vector<int64_t> dynSlack;     ///< decays while an op waits ready
+    std::vector<uint64_t> staticSlack; ///< DAG slack; see dynSlack()
+    uint64_t step = 0; ///< timesteps committed so far
     std::vector<uint32_t> pendingPreds;
+    std::vector<bool> scheduled; ///< placed in a slot; leaves `ready`
     /** Ready ops, kept sorted by op index: every tie in the weight scan
      * and the candidate sort below resolves to the lowest op index, so
      * the schedule is a canonical function of the module content with
@@ -35,10 +37,9 @@ struct RcpState
 
     RcpState(const Module &mod, const MultiSimdArch &arch)
         : mod(mod), arch(arch), dag(DepDag::build(mod)),
+          staticSlack(dag.slack()), scheduled(mod.numOps(), false),
           qubitRegion(mod.numQubits(), inMemory)
     {
-        auto static_slack = dag.slack();
-        dynSlack.assign(static_slack.begin(), static_slack.end());
         pendingPreds.resize(dag.numNodes());
         for (uint32_t i = 0; i < dag.numNodes(); ++i)
             pendingPreds[i] = static_cast<uint32_t>(dag.preds(i).size());
@@ -51,6 +52,14 @@ struct RcpState
     {
         ready.push_back(op);
         ++readyCount[static_cast<size_t>(mod.op(op).kind)];
+    }
+
+    /** Slack of @p op at the current step: urgency grows by one per
+     * elapsed timestep, floored at zero (Algorithm 1's updateRcpq). */
+    uint64_t
+    dynSlack(uint32_t op) const
+    {
+        return staticSlack[op] > step ? staticSlack[op] - step : 0;
     }
 
     /** @return true when op has an operand resident in region r. */
@@ -111,7 +120,7 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                     weights.op *
                         static_cast<double>(st.readyCount[kind_index]) -
                     weights.slack *
-                        static_cast<double>(st.dynSlack[op_index]);
+                        static_cast<double>(st.dynSlack(op_index));
                 // Preferred region: one that already holds an operand.
                 int preferred = -1;
                 for (QubitId q : op.operands) {
@@ -158,8 +167,8 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                     bool b_in = st.inPlace(b, r_unsigned);
                     if (a_in != b_in)
                         return a_in;
-                    if (st.dynSlack[a] != st.dynSlack[b])
-                        return st.dynSlack[a] < st.dynSlack[b];
+                    if (st.dynSlack(a) != st.dynSlack(b))
+                        return st.dynSlack(a) < st.dynSlack(b);
                     return a < b; // explicit op-index tie-break
                 });
 
@@ -173,19 +182,20 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 qubit_budget -= need;
                 slot.ops.push_back(op_index);
                 scheduled_now.push_back(op_index);
+                st.scheduled[op_index] = true;
             }
             if (slot.ops.empty())
                 panic("RCP: selected region accepted no operations");
 
-            // Retire the region and drop scheduled ops from the ready
-            // list.
+            // Retire the region and drop the scheduled ops from the
+            // ready list in one order-preserving pass.
             region_used[r_unsigned] = true;
             --regions_left;
-            for (uint32_t op_index : slot.ops) {
-                st.ready.erase(std::find(st.ready.begin(), st.ready.end(),
-                                         op_index));
-                --st.readyCount[static_cast<size_t>(best_kind)];
-            }
+            st.readyCount[static_cast<size_t>(best_kind)] -=
+                static_cast<uint32_t>(slot.ops.size());
+            std::erase_if(st.ready, [&](uint32_t op_index) {
+                return st.scheduled[op_index];
+            });
         }
 
         // updateRcpq: operand qubits now live in their regions; newly
@@ -196,12 +206,7 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 for (QubitId q : st.mod.op(op_index).operands)
                     st.qubitRegion[q] = static_cast<int>(r);
         }
-        for (int64_t &slack : st.dynSlack) {
-            // Only ops still waiting matter; decrementing all is harmless
-            // and cheaper than tracking membership.
-            if (slack > 0)
-                --slack;
-        }
+        ++st.step;
         // Release in canonical op-index order and merge into the sorted
         // ready list (erase above preserved its order), not in the
         // incidental region-commit order of this step.

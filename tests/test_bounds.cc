@@ -11,17 +11,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "analysis/bounds.hh"
 #include "analysis/invocation_counts.hh"
+#include "core/toolflow.hh"
+#include "ir/dag.hh"
 #include "sched/coarse.hh"
 #include "sched/leaf_cache.hh"
 #include "sched/lpfs.hh"
 #include "sched/rcp.hh"
 #include "support/diagnostic.hh"
+#include "support/rng.hh"
+#include "support/saturate.hh"
 #include "verify/bound_checker.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -200,6 +206,187 @@ TEST(LeafBounds, NonIncreasingInWidth)
                              .composite();
         EXPECT_LE(bound, previous) << "width " << k;
         previous = bound;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference equivalence: the one-sweep interval bound against a direct
+// per-start rescan of every op.
+// ---------------------------------------------------------------------
+
+/** Evenly sample sorted unique @p values down to 64, keeping both ends
+ * (the endpoint sampling computeLeafBounds documents). */
+std::vector<uint64_t>
+referenceSample(const std::vector<uint64_t> &values)
+{
+    constexpr size_t budget = 64;
+    if (values.size() <= budget)
+        return values;
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < budget; ++i) {
+        size_t index = i * (values.size() - 1) / (budget - 1);
+        if (out.empty() || out.back() != values[index])
+            out.push_back(values[index]);
+    }
+    return out;
+}
+
+/**
+ * Straightforward leaf bounds: for every sampled window start, rescan
+ * all ops, bucket the ones starting at or after it by covering sampled
+ * finish, and check each window's load against its capacity.
+ */
+MakespanBounds
+referenceLeafBounds(const Module &mod, const MultiSimdArch &arch)
+{
+    MakespanBounds bounds;
+    const size_t n = mod.numOps();
+    if (n == 0)
+        return bounds;
+    DepDag dag = DepDag::build(mod);
+    const uint64_t cp = dag.criticalPathLength();
+    bounds.criticalPath = cp;
+    const uint64_t cap = std::max<uint64_t>(
+        std::min<uint64_t>(satMul(arch.k, arch.d), mod.numQubits()), 1);
+    uint64_t touches = 0;
+    for (const auto &op : mod.ops())
+        touches = satAdd(touches, op.operands.size());
+    bounds.resource = satCeilDiv(touches, cap);
+
+    auto depth = dag.depthFromTop();
+    auto height = dag.heightToBottom();
+    std::vector<uint64_t> es(n), lf(n);
+    for (size_t i = 0; i < n; ++i) {
+        es[i] = depth[i] - 1;
+        lf[i] = cp - height[i] + 1;
+    }
+    auto sorted_unique = [](std::vector<uint64_t> v) {
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+        return v;
+    };
+    const auto starts = referenceSample(sorted_unique(es));
+    const auto finishes = referenceSample(sorted_unique(lf));
+
+    uint64_t max_excess = 0;
+    std::vector<uint64_t> load(finishes.size());
+    for (uint64_t a : starts) {
+        std::fill(load.begin(), load.end(), 0);
+        for (size_t i = 0; i < n; ++i) {
+            if (es[i] < a)
+                continue;
+            size_t bucket = std::lower_bound(finishes.begin(),
+                                             finishes.end(), lf[i]) -
+                            finishes.begin();
+            load[bucket] = satAdd(load[bucket], mod.op(i).operands.size());
+        }
+        uint64_t running = 0;
+        for (size_t j = 0; j < finishes.size(); ++j) {
+            running = satAdd(running, load[j]);
+            if (finishes[j] <= a)
+                continue;
+            uint64_t steps = satCeilDiv(running, cap);
+            uint64_t span = finishes[j] - a;
+            if (steps > span)
+                max_excess = std::max(max_excess, steps - span);
+        }
+    }
+    bounds.interval = satAdd(cp, max_excess);
+    return bounds;
+}
+
+void
+expectBoundsMatchReference(const Module &mod, const MultiSimdArch &arch,
+                           const std::string &what)
+{
+    MakespanBounds fast = computeLeafBounds(mod, arch);
+    MakespanBounds ref = referenceLeafBounds(mod, arch);
+    EXPECT_EQ(fast.criticalPath, ref.criticalPath) << what;
+    EXPECT_EQ(fast.resource, ref.resource) << what;
+    EXPECT_EQ(fast.interval, ref.interval) << what;
+    EXPECT_EQ(fast.saturated, ref.saturated) << what;
+}
+
+/** Random leaf with 1-, 2- and 3-qubit gates; few qubits and many ops
+ * give deep DAGs with wide, uneven ASAP/ALAP windows. */
+Module
+randomLeaf(uint64_t seed, unsigned qubits, unsigned ops)
+{
+    SplitMix64 rng(seed);
+    Module mod("random");
+    mod.addRegister("q", qubits);
+    const GateKind one_q[] = {GateKind::H, GateKind::T, GateKind::X,
+                              GateKind::S};
+    for (unsigned i = 0; i < ops; ++i) {
+        auto a = static_cast<QubitId>(rng.nextBelow(qubits));
+        auto b = static_cast<QubitId>((a + 1 + rng.nextBelow(qubits - 1)) %
+                                      qubits);
+        auto c = static_cast<QubitId>(rng.nextBelow(qubits));
+        uint64_t pick = rng.nextBelow(100);
+        if (pick < 10 && c != a && c != b)
+            mod.addGate(GateKind::Toffoli, {a, b, c});
+        else if (pick < 35)
+            mod.addGate(GateKind::CNOT, {a, b});
+        else
+            mod.addGate(one_q[rng.nextBelow(4)], {a});
+    }
+    return mod;
+}
+
+TEST(LeafBoundsReference, RandomLeavesMatchPerStartScan)
+{
+    struct Shape
+    {
+        unsigned qubits;
+        unsigned ops;
+    };
+    // Small shapes stay under 64 distinct endpoints; the deep ones have
+    // hundreds, so endpoint sampling is exercised.
+    const Shape shapes[] = {{2, 5}, {4, 40}, {12, 120}, {6, 600},
+                            {40, 2000}, {3, 1500}};
+    bool sampled = false;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const Shape &shape : shapes) {
+            Module mod = randomLeaf(seed, shape.qubits, shape.ops);
+            DepDag dag = DepDag::build(mod);
+            sampled = sampled || dag.criticalPathLength() > 64;
+            for (unsigned k : {1u, 2u, 4u}) {
+                for (uint64_t d : {uint64_t{1}, uint64_t{2}, unbounded}) {
+                    expectBoundsMatchReference(
+                        mod, MultiSimdArch(k, d),
+                        "seed " + std::to_string(seed) + " qubits " +
+                            std::to_string(shape.qubits) + " ops " +
+                            std::to_string(shape.ops) + " k " +
+                            std::to_string(k) + " d " + std::to_string(d));
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(sampled);
+}
+
+TEST(LeafBoundsReference, ScaledWorkloadLeavesMatchPerStartScan)
+{
+    for (const auto &spec : workloads::scaledParams()) {
+        Program prog = spec.build();
+        ToolflowConfig config;
+        config.scheduler = SchedulerKind::Sequential;
+        config.arch = MultiSimdArch(4);
+        config.rotations = Toolflow::rotationPresetFor(spec.shortName);
+        Toolflow(config).run(prog);
+        size_t leaves = 0;
+        for (ModuleId id : prog.reachableModules()) {
+            const Module &mod = prog.module(id);
+            if (!mod.isLeaf())
+                continue;
+            ++leaves;
+            for (unsigned k = 1; k <= 4; ++k)
+                expectBoundsMatchReference(mod, MultiSimdArch(k),
+                                           spec.shortName + "/" +
+                                               mod.name() + " k " +
+                                               std::to_string(k));
+        }
+        EXPECT_GT(leaves, 0u) << spec.shortName;
     }
 }
 
