@@ -13,10 +13,10 @@
  * and reports requests/sec plus p50/p99 per-request latency for each,
  * writing BENCH_serve_latency.json for the CI regression gate. The
  * determinism contract (DESIGN.md §15) is cross-checked on the fly:
- * every warm response must carry the same schedule_hash and makespan
- * as its cold twin, and the warm phase must end at leaf-cache hit
- * rate 1.0 — the bench exits 1 on any violation, so the committed
- * baseline doubles as a regression test.
+ * every warm response must carry the same schedule_hash, makespan and
+ * lower_bound as its cold twin, and the warm phase must end at
+ * leaf-cache hit rate 1.0 — the bench exits 1 on any violation, so the
+ * committed baseline doubles as a regression test.
  *
  * Environment knobs:
  *   MSQ_BENCH_THREADS  batch parallelism (default 8)
@@ -67,6 +67,16 @@ percentile(std::vector<double> sorted, double p)
     return sorted[std::min(index, sorted.size() - 1)];
 }
 
+/** The deterministic fields of one response. */
+struct ServedResult
+{
+    std::string scheduleHash;
+    uint64_t makespan = 0;
+    uint64_t lowerBound = 0;
+
+    bool operator==(const ServedResult &) const = default;
+};
+
 struct PhaseResult
 {
     std::string phase;
@@ -76,8 +86,8 @@ struct PhaseResult
     double p50Ms = 0.0;
     double p99Ms = 0.0;
     double hitRate = 0.0;
-    /** workload -> (schedule_hash, makespan) of the last response. */
-    std::map<std::string, std::pair<std::string, uint64_t>> results;
+    /** workload -> the last response's deterministic fields. */
+    std::map<std::string, ServedResult> results;
 };
 
 /** Run @p traffic through a fresh engine; warm = load the cache. */
@@ -117,7 +127,8 @@ runPhase(const std::string &phase, const std::string &cache_path,
         }
         out.results[workload] = {
             json->get("schedule_hash").asString(),
-            json->get("makespan").asUnsigned()};
+            json->get("makespan").asUnsigned(),
+            json->get("lower_bound").asUnsigned()};
     }
     out.wallMs = timer.elapsedMs();
     out.requests = traffic.size();
@@ -193,10 +204,13 @@ main(int argc, char **argv)
         const auto &warmResult = warm.results[workload];
         if (coldResult != warmResult) {
             std::cerr << "DETERMINISM VIOLATION: " << workload
-                      << " cold hash=" << coldResult.first
-                      << " makespan=" << coldResult.second
-                      << " vs warm hash=" << warmResult.first
-                      << " makespan=" << warmResult.second << "\n";
+                      << " cold hash=" << coldResult.scheduleHash
+                      << " makespan=" << coldResult.makespan
+                      << " lower_bound=" << coldResult.lowerBound
+                      << " vs warm hash=" << warmResult.scheduleHash
+                      << " makespan=" << warmResult.makespan
+                      << " lower_bound=" << warmResult.lowerBound
+                      << "\n";
             ok = false;
         }
     }
@@ -236,8 +250,9 @@ main(int argc, char **argv)
     size_t index = 0;
     for (const auto &[workload, result] : cold.results) {
         os << "    {\"workload\": \"" << workload
-           << "\", \"schedule_hash\": \"" << result.first
-           << "\", \"makespan\": " << result.second << "}"
+           << "\", \"schedule_hash\": \"" << result.scheduleHash
+           << "\", \"makespan\": " << result.makespan
+           << ", \"lower_bound\": " << result.lowerBound << "}"
            << (++index == cold.results.size() ? "\n" : ",\n");
     }
     os << "  ]\n}\n";

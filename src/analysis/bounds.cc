@@ -163,7 +163,8 @@ computeLeafBounds(const Module &mod, const MultiSimdArch &arch)
 MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
                                              const MultiSimdArch &arch,
                                              CommMode mode,
-                                             DiagnosticEngine *diags)
+                                             DiagnosticEngine *diags,
+                                             const KnownLeafBounds &known)
     : prog(&prog), arch(arch), mode(mode),
       bounds_(prog.numModules()), areas_(prog.numModules(), 0)
 {
@@ -174,7 +175,8 @@ MakespanBoundAnalysis::MakespanBoundAnalysis(const Program &prog,
     for (ModuleId id : prog.bottomUpOrder()) {
         const Module &mod = prog.module(id);
         if (mod.isLeaf()) {
-            MakespanBounds b = computeLeafBounds(mod, arch);
+            const MakespanBounds *given = known ? known(id) : nullptr;
+            MakespanBounds b = given ? *given : computeLeafBounds(mod, arch);
             // Region-cycle area: width >= 1 for the bound's length, and
             // every region-step holds at most d operand touches.
             areas_[id] = std::max(b.composite(),

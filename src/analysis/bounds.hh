@@ -46,6 +46,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "arch/multi_simd.hh"
@@ -89,14 +90,25 @@ class MakespanBoundAnalysis
 {
   public:
     /**
+     * Already-known leaf bounds: returns computeLeafBounds(prog.module(id),
+     * arch) for leaf @p id when the caller holds it (e.g. memoized with a
+     * cached schedule), or nullptr to have the analysis compute it.
+     */
+    using KnownLeafBounds = std::function<const MakespanBounds *(ModuleId)>;
+
+    /**
      * Analyze all modules reachable from @p prog's entry.
      * @param mode communication mode the schedule under test was costed
      *        with (selects the coarse-level gate/call cycle costs).
      * @param diags optional sink for B006 repeat-overflow warnings.
+     * @param known optional source of leaf bounds at full width k; a
+     *        wrong value makes every composed bound wrong, so checkers
+     *        that must not trust the schedule pass none.
      */
     MakespanBoundAnalysis(const Program &prog, const MultiSimdArch &arch,
                           CommMode mode,
-                          DiagnosticEngine *diags = nullptr);
+                          DiagnosticEngine *diags = nullptr,
+                          const KnownLeafBounds &known = {});
 
     /** Bounds of one invocation of module @p id (at full width k). */
     const MakespanBounds &bounds(ModuleId id) const;

@@ -290,11 +290,17 @@ ServeEngine::handleLine(const std::string &line)
         local.mergeInto(Telemetry::metrics());
 
     // Optimality gap against the hierarchical lower bound of the
-    // *lowered* program (run() rewrites it in place).
+    // *lowered* program (run() rewrites it in place). Leaf bounds at
+    // width k come with the schedule (memoized in the cache entry), so
+    // only a leaf swept without k would be bounded afresh.
+    const unsigned k = request.config.arch.k;
     uint64_t lowerBound = 0;
     try {
-        MakespanBoundAnalysis bounds(request.prog, request.config.arch,
-                                     request.config.commMode);
+        MakespanBoundAnalysis bounds(
+            request.prog, request.config.arch, request.config.commMode,
+            nullptr, [&](ModuleId id) {
+                return result.schedule.leafBounds(id, k);
+            });
         lowerBound = bounds.programLowerBound();
     } catch (const std::exception &) {
         lowerBound = 0; // gap degrades to 0 rather than failing the request

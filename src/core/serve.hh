@@ -32,6 +32,10 @@
  * "cache": {hits, misses, loads, rejections, size, hit_rate},
  * "telemetry": {...}, "wall_ms"} — or {"id", "ok": false, "error"} for
  * malformed/failed requests (a bad request never kills the daemon).
+ * "lower_bound" is MakespanBoundAnalysis::programLowerBound() of the
+ * lowered program; its leaf terms are the bounds memoized with each
+ * leaf's width-k schedule (ProgramSchedule::leafBounds), so a warm
+ * request computes no leaf bound.
  *
  * Determinism contract (extends DESIGN.md §9): "schedule_hash" and
  * every schedule-derived field are bit-identical for a given request
@@ -96,8 +100,14 @@ class ServeEngine
     size_t loadCache();
 
     /**
-     * Persist the shared cache to options.cachePath.
-     * @return entries written, or SIZE_MAX on error/unset path.
+     * Persist the shared cache to options.cachePath. When the file
+     * already holds exactly the cache's entries — nothing was added
+     * since an exact loadCache() or the last saveCache(), and the file's
+     * size and mtime are unchanged — nothing is written
+     * (LeafScheduleCache::saveTo's clean-save rule), so a fully warm
+     * daemon life leaves the file as it found it.
+     * @return entries in the file (written or already there), or
+     * SIZE_MAX on error/unset path.
      */
     size_t saveCache();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -215,6 +216,20 @@ validateBuffer(const ScheduleBuffer &buf, uint64_t op_count)
         if (op >= op_count)
             return false;
     return true;
+}
+
+/** Size and modification time of @p path; false when it cannot be
+ * read (missing file, permissions). */
+bool
+fileStamp(const std::string &path, uint64_t &bytes,
+          std::filesystem::file_time_type &mtime)
+{
+    std::error_code error;
+    bytes = std::filesystem::file_size(path, error);
+    if (error)
+        return false;
+    mtime = std::filesystem::last_write_time(path, error);
+    return !error;
 }
 
 /**
@@ -480,6 +495,21 @@ size_t
 LeafScheduleCache::saveTo(const std::string &path,
                           DiagnosticEngine *diags) const
 {
+    // Clean-save rule: the file already holds this exact cache content.
+    // The generation is read before the snapshot, so an entry published
+    // in between only makes the next save write again.
+    uint64_t snapshotGeneration = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        uint64_t fileBytes = 0;
+        std::filesystem::file_time_type fileTime;
+        if (persisted && persisted->path == path &&
+            persisted->generation == generation &&
+            fileStamp(path, fileBytes, fileTime) &&
+            fileBytes == persisted->bytes && fileTime == persisted->mtime)
+            return entries.size();
+        snapshotGeneration = generation;
+    }
     auto snapshot = snapshotEntries();
 
     std::vector<uint8_t> bytes;
@@ -535,6 +565,14 @@ LeafScheduleCache::saveTo(const std::string &path,
         std::remove(tmp.c_str());
         return SIZE_MAX;
     }
+    PersistedFile written{path, snapshotGeneration, 0, {}};
+    const bool stamped = fileStamp(path, written.bytes, written.mtime) &&
+                         written.bytes == bytes.size();
+    std::lock_guard<std::mutex> lock(mutex);
+    if (stamped)
+        persisted = std::move(written);
+    else
+        persisted.reset();
     return snapshot.size();
 }
 
@@ -542,6 +580,16 @@ size_t
 LeafScheduleCache::loadFrom(const std::string &path,
                             DiagnosticEngine *diags)
 {
+    // Stamp the file before reading it: a change after the stamp makes
+    // the recorded stamp stale, which only costs a rewrite later.
+    PersistedFile stamp{path, 0, 0, {}};
+    const bool stamped = fileStamp(path, stamp.bytes, stamp.mtime);
+    uint64_t startGeneration = 0;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        startGeneration = generation;
+    }
+
     std::ifstream in(path, std::ios::binary);
     if (!in) {
         if (diags)
@@ -577,8 +625,13 @@ LeafScheduleCache::loadFrom(const std::string &path,
     uint64_t entryCount = r.u64();
 
     size_t loaded = 0;
+    bool keysSorted = true; // as saveTo() writes them
+    std::string previousKey;
     for (uint64_t e = 0; e < entryCount; ++e) {
         std::string key = r.str();
+        if (e > 0 && !(previousKey < key))
+            keysSorted = false;
+        previousKey = key;
         uint64_t payloadLen = r.u64();
         uint64_t checksum = r.u64();
         if (!r.ok || !r.need(payloadLen)) {
@@ -659,6 +712,23 @@ LeafScheduleCache::loadFrom(const std::string &path,
 
         if (insertLoaded(key, std::move(result)))
             ++loaded;
+    }
+
+    // An exact load leaves the cache holding precisely what saveTo()
+    // would write back to this file, so record the file as persisted.
+    // The cache holds only this file's entries when its size is the
+    // loaded count and nothing else changed it meanwhile (generation).
+    const bool exact = stamped && stamp.bytes == bytes.size() &&
+                       version == cacheFileVersion &&
+                       loaded == entryCount && keysSorted &&
+                       r.pos == bytes.size();
+    if (exact) {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (entries.size() == loaded &&
+            generation == startGeneration + loaded) {
+            stamp.generation = generation;
+            persisted = std::move(stamp);
+        }
     }
     return loaded;
 }

@@ -57,6 +57,15 @@ ProgramSchedule::forModule(ModuleId id) const
     return modules[id];
 }
 
+const MakespanBounds *
+ProgramSchedule::leafBounds(ModuleId id, unsigned width) const
+{
+    if (id >= modules.size() || !modules[id].leaf ||
+        modules[id].dims.back().width != width)
+        return nullptr;
+    return &modules[id].bounds;
+}
+
 CoarseScheduler::CoarseScheduler(const MultiSimdArch &arch,
                                  const LeafScheduler &leaf_scheduler,
                                  CommMode mode, Options options)
@@ -185,7 +194,7 @@ struct SetItem
 } // anonymous namespace
 
 uint64_t
-CoarseScheduler::scheduleNonLeaf(const Program &prog, const Module &mod,
+CoarseScheduler::scheduleNonLeaf(const Module &mod,
                                  const ProgramSchedule &partial,
                                  unsigned max_width) const
 {
@@ -473,6 +482,7 @@ CoarseScheduler::schedule(const Program &prog) const
             if (wi + 1 == nw) {
                 info.comm = stats;
                 info.provenance = slots[m * nw + wi]->attempt.provenance;
+                info.bounds = slots[m * nw + wi]->bounds;
             }
         }
         if (metrics != nullptr) {
@@ -556,8 +566,7 @@ CoarseScheduler::schedule(const Program &prog) const
         }
         std::vector<uint64_t> lengths(nw);
         run_tasks(nw, [&](uint64_t wi) {
-            lengths[wi] = scheduleNonLeaf(prog, mod, result,
-                                          widths[wi]);
+            lengths[wi] = scheduleNonLeaf(mod, result, widths[wi]);
         });
         ModuleScheduleInfo info;
         info.analyzed = true;

@@ -63,6 +63,15 @@ struct ModuleScheduleInfo
      */
     ScheduleProvenance provenance = ScheduleProvenance::Heuristic;
 
+    /**
+     * Static lower bounds of the widest fine-grained schedule (leaves
+     * only): computeLeafBounds at width dims.back().width, memoized with
+     * the schedule in LeafScheduleResult::bounds. When that width is
+     * arch.k they are the module's full-width bounds, which is what
+     * lets a caller hand them to MakespanBoundAnalysis.
+     */
+    MakespanBounds bounds;
+
     /** Shortest available length. */
     uint64_t bestLength() const;
 
@@ -81,6 +90,15 @@ struct ProgramSchedule
     uint64_t totalCycles = 0;                ///< entry module best length
 
     const ModuleScheduleInfo &forModule(ModuleId id) const;
+
+    /**
+     * The memoized bounds of leaf @p id at @p width: its
+     * ModuleScheduleInfo::bounds when the widest sweep point is
+     * @p width, nullptr otherwise (not an analyzed leaf, or a sweep
+     * without that width). With @p width = arch.k this is the
+     * MakespanBoundAnalysis::KnownLeafBounds source of the schedule.
+     */
+    const MakespanBounds *leafBounds(ModuleId id, unsigned width) const;
 };
 
 /** The hierarchical scheduler. */
@@ -163,7 +181,7 @@ class CoarseScheduler
     leafWidthResult(const Module &mod, unsigned w) const;
 
     /** Coarse list-schedule @p mod under width budget @p max_width. */
-    uint64_t scheduleNonLeaf(const Program &prog, const Module &mod,
+    uint64_t scheduleNonLeaf(const Module &mod,
                              const ProgramSchedule &partial,
                              unsigned max_width) const;
 };

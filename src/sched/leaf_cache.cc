@@ -48,7 +48,9 @@ LeafScheduleCache::insert(const std::string &key,
 {
     std::lock_guard<std::mutex> lock(mutex);
     auto [it, inserted] = entries.emplace(key, std::move(result));
-    if (!inserted) {
+    if (inserted) {
+        ++generation;
+    } else {
         // Lost a compute race: another thread published this key after
         // our lookup missed. Reclassify our miss as a hit so the final
         // tallies are thread-count-invariant — every key ends up with
@@ -68,8 +70,10 @@ LeafScheduleCache::insertLoaded(
     std::lock_guard<std::mutex> lock(mutex);
     auto [it, inserted] = entries.emplace(key, std::move(result));
     (void)it;
-    if (inserted)
+    if (inserted) {
+        ++generation;
         loads_.fetch_add(1, std::memory_order_relaxed);
+    }
     // A losing load is NOT a lost compute race: no lookup missed before
     // it, so there is no miss to reclassify and the counters stay put.
     return inserted;
@@ -79,7 +83,10 @@ bool
 LeafScheduleCache::remove(const std::string &key)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    return entries.erase(key) > 0;
+    if (entries.erase(key) == 0)
+        return false;
+    ++generation;
+    return true;
 }
 
 double
@@ -104,6 +111,7 @@ LeafScheduleCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex);
     entries.clear();
+    ++generation;
     hits_.store(0);
     misses_.store(0);
     loads_.store(0);

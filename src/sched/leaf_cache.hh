@@ -35,9 +35,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -81,8 +83,10 @@ struct LeafScheduleResult
      * Static makespan lower bounds at this schedule's width
      * (analysis/bounds.hh). Pure function of the module's structure and
      * the arch — exactly what the cache key captures — so bounds are
-     * memoized alongside the schedule and a cache hit never recomputes
-     * them.
+     * memoized alongside the schedule. The coarse sweep reads them from
+     * here on a hit, and so does the served lower bound (via
+     * ModuleScheduleInfo::bounds at width k); independent consumers
+     * such as the B-checker still compute their own.
      */
     MakespanBounds bounds;
 
@@ -243,8 +247,18 @@ class LeafScheduleCache
     /**
      * Serialize every entry to @p path in the versioned binary format
      * of sched/cache_io.hh (written atomically: temp file + rename).
-     * @return the number of entries written, or SIZE_MAX on I/O error
-     * (reported through @p diags as a warning when non-null).
+     *
+     * Clean-save rule: when @p path still holds exactly what this call
+     * would write, nothing is written. That is the case when the last
+     * successful saveTo(), or the last exact loadFrom(), used the same
+     * @p path, no entry was added or removed since, and the file's size
+     * and modification time are still those recorded then. A loaded
+     * file re-serializes byte for byte (DESIGN.md §15), so the skipped
+     * write would have reproduced it.
+     *
+     * @return the number of entries in the file (size() when the write
+     * is skipped), or SIZE_MAX on I/O error (reported through @p diags
+     * as a warning when non-null).
      */
     size_t saveTo(const std::string &path,
                   DiagnosticEngine *diags = nullptr) const;
@@ -254,16 +268,34 @@ class LeafScheduleCache
      * insertLoaded(). Corrupt, truncated, or mismatched files/entries
      * are reported through @p diags (stable codes P001-P005) and
      * skipped — never a crash, never a silently wrong schedule.
+     *
+     * The load is *exact* when the cache was empty, the file is at the
+     * current cacheFileVersion, every entry loaded, the keys are in
+     * saveTo()'s sorted order, and no bytes trail the last entry. Only
+     * then does a later saveTo() of the same path count as clean.
      * @return the number of entries loaded (0 on a rejected file).
      */
     size_t loadFrom(const std::string &path,
                     DiagnosticEngine *diags = nullptr);
 
   private:
+    /** A file known to hold this cache as of generation `generation`. */
+    struct PersistedFile
+    {
+        std::string path;
+        uint64_t generation = 0;
+        uint64_t bytes = 0;                    ///< file size
+        std::filesystem::file_time_type mtime; ///< last modification
+    };
+
     mutable std::mutex mutex;
     std::unordered_map<std::string,
                        std::shared_ptr<const LeafScheduleResult>>
         entries;
+    /** Bumped whenever the entry set changes (guarded by mutex). */
+    uint64_t generation = 0;
+    /** Set by saveTo() and exact loads (guarded by mutex). */
+    mutable std::optional<PersistedFile> persisted;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
     std::atomic<uint64_t> loads_{0};

@@ -160,17 +160,25 @@ RcpScheduler::schedule(const Module &mod, const MultiSimdArch &arch) const
                 if (st.mod.op(op_index).kind == best_kind)
                     candidates.push_back(op_index);
             auto r_unsigned = static_cast<unsigned>(best_region);
-            std::sort(
-                candidates.begin(), candidates.end(),
-                [&](uint32_t a, uint32_t b) {
-                    bool a_in = st.inPlace(a, r_unsigned);
-                    bool b_in = st.inPlace(b, r_unsigned);
-                    if (a_in != b_in)
-                        return a_in;
-                    if (st.dynSlack(a) != st.dynSlack(b))
-                        return st.dynSlack(a) < st.dynSlack(b);
-                    return a < b; // explicit op-index tie-break
-                });
+            auto before = [&](uint32_t a, uint32_t b) {
+                bool a_in = st.inPlace(a, r_unsigned);
+                bool b_in = st.inPlace(b, r_unsigned);
+                if (a_in != b_in)
+                    return a_in;
+                if (st.dynSlack(a) != st.dynSlack(b))
+                    return st.dynSlack(a) < st.dynSlack(b);
+                return a < b; // explicit op-index tie-break
+            };
+            // Every op takes at least one of the slot's d operands, so
+            // the fill below reads at most the first d + 1 candidates.
+            // The order is strict and total, so sorting only that
+            // prefix leaves it, and the schedule, unchanged.
+            auto head = candidates.begin() +
+                        static_cast<std::ptrdiff_t>(
+                            st.arch.d < candidates.size() ? st.arch.d + 1
+                                                          : candidates.size());
+            std::partial_sort(candidates.begin(), head, candidates.end(),
+                              before);
 
             ScheduleBuilder::DraftSlot &slot = builder.slot(r_unsigned);
             slot.kind = best_kind;

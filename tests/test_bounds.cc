@@ -490,6 +490,41 @@ TEST(MakespanBoundAnalysis, WidthQueryMatchesLeafBound)
               analysis.lowerBoundAt(top, 4));
 }
 
+TEST(MakespanBoundAnalysis, KnownLeafBoundsAreUsedWhenGiven)
+{
+    Program prog = serialProgram();
+    const MultiSimdArch arch(4);
+    ModuleId chain = 0;
+    ASSERT_TRUE(prog.module(chain).isLeaf());
+
+    // A supplied bound replaces the computed one (a deliberately larger
+    // value, so its use shows in the composition: 2 * 15 + 1).
+    MakespanBounds given;
+    given.criticalPath = 15;
+    MakespanBoundAnalysis known(prog, arch, CommMode::None, nullptr,
+                                [&](ModuleId id) {
+                                    return id == chain ? &given : nullptr;
+                                });
+    EXPECT_EQ(known.lowerBound(chain), 15u);
+    EXPECT_EQ(known.programLowerBound(), 31u);
+
+    // nullptr for every module falls back to computing: 10 + 10 + 1.
+    MakespanBoundAnalysis none(
+        prog, arch, CommMode::None, nullptr,
+        [](ModuleId) -> const MakespanBounds * { return nullptr; });
+    EXPECT_EQ(none.programLowerBound(), 21u);
+
+    // The coarse schedule's memoized width-k bounds equal the computed.
+    LpfsScheduler leaf;
+    ProgramSchedule psched =
+        CoarseScheduler(arch, leaf, CommMode::None).schedule(prog);
+    ASSERT_NE(psched.leafBounds(chain, arch.k), nullptr);
+    EXPECT_EQ(psched.leafBounds(chain, arch.k)->composite(),
+              computeLeafBounds(prog.module(chain), arch).composite());
+    EXPECT_EQ(psched.leafBounds(chain, 2), nullptr);
+    EXPECT_EQ(psched.leafBounds(prog.entry(), arch.k), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // The checker on real and corrupted schedules.
 // ---------------------------------------------------------------------

@@ -6,13 +6,17 @@
  * summaries), byte-identical re-serialization, truncation/bit-flip
  * rejection with stable P-code diagnostics, the load-path counter
  * accounting (loads never count as misses; hit/miss totals are
- * thread-count- and warm/cold-invariant), and the rebind-time
- * collision guard (P006).
+ * thread-count- and warm/cold-invariant), the rebind-time
+ * collision guard (P006), and the clean-save rule (a save that would
+ * reproduce the file byte for byte does not write it).
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -832,6 +836,249 @@ TEST(RebindGuard, LegacyZeroCountFixturesStillRebind)
     EXPECT_TRUE(legacy.matchesModule(10, 3));
     EXPECT_FALSE(legacy.matchesModule(11, 3));
     EXPECT_FALSE(legacy.matchesModule(10, 4));
+}
+
+// ---------------------------------------------------------------------
+// Clean saves: saveTo() writes nothing when the file already holds this
+// cache (an exact load or an earlier save of the same path, no entry
+// published since, size and mtime unchanged), and rewrites otherwise.
+// ---------------------------------------------------------------------
+
+/** What a rewrite changes: saveTo() renames a fresh temp file over the
+ * target, so even a byte-identical rewrite gets a new inode. */
+struct FileState
+{
+    std::string bytes;
+    ino_t inode = 0;
+    std::filesystem::file_time_type mtime;
+
+    bool operator==(const FileState &) const = default;
+};
+
+FileState
+fileState(const std::string &path)
+{
+    FileState state;
+    std::ifstream in(path, std::ios::binary);
+    state.bytes.assign(std::istreambuf_iterator<char>(in), {});
+    struct stat info{};
+    if (::stat(path.c_str(), &info) == 0)
+        state.inode = info.st_ino;
+    std::error_code error;
+    state.mtime = std::filesystem::last_write_time(path, error);
+    return state;
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::string
+flatSuffix()
+{
+    return leafScheduleKeySuffix(LpfsScheduler().fingerprint(),
+                                 MultiSimdArch(4), CommMode::Global);
+}
+
+/** Save populate()'s two entries to tempPath(@p stem). */
+std::string
+savedPair(const std::string &stem)
+{
+    LeafScheduleCache cache;
+    populate(cache, flatSuffix());
+    const std::string path = tempPath(stem);
+    EXPECT_EQ(cache.saveTo(path), 2u);
+    return path;
+}
+
+TEST(CleanSave, ExactLoadThenSaveLeavesFileUntouched)
+{
+    LeafScheduleCache cache;
+    populate(cache, flatSuffix());
+    const std::string path = tempPath("clean_exact.msqc");
+    ASSERT_EQ(cache.saveTo(path), 2u);
+    const FileState saved = fileState(path);
+    EXPECT_EQ(cache.saveTo(path), 2u); // unchanged since its own save
+    EXPECT_EQ(fileState(path), saved);
+
+    LeafScheduleCache loaded;
+    DiagnosticEngine diags;
+    ASSERT_EQ(loaded.loadFrom(path, &diags), 2u);
+    EXPECT_EQ(loaded.saveTo(path, &diags), 2u);
+    EXPECT_EQ(fileState(path), saved);
+    EXPECT_EQ(diags.numWarnings(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, InsertAfterLoadRewrites)
+{
+    const std::string path = savedPair("clean_insert.msqc");
+    LeafScheduleCache loaded;
+    ASSERT_EQ(loaded.loadFrom(path), 2u);
+    const FileState before = fileState(path);
+    Rng rng(29);
+    Module mod = randomLeaf(rng, 7, 30);
+    loaded.insert(leafScheduleKey(mod, 4, flatSuffix()),
+                  makeResult(mod, 4, CommMode::Global));
+    EXPECT_EQ(loaded.saveTo(path), 3u);
+    const FileState after = fileState(path);
+    EXPECT_NE(after.inode, before.inode);
+    LeafScheduleCache reloaded;
+    EXPECT_EQ(reloaded.loadFrom(path), 3u);
+    // The file it just wrote is clean from then on.
+    EXPECT_EQ(loaded.saveTo(path), 3u);
+    EXPECT_EQ(fileState(path), after);
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, LoadIntoNonEmptyCacheRewrites)
+{
+    const std::string path = savedPair("clean_nonempty.msqc");
+    const FileState before = fileState(path);
+    Rng rng(31);
+    Module mod = randomLeaf(rng, 6, 20);
+    LeafScheduleCache cache;
+    cache.insert(leafScheduleKey(mod, 4, flatSuffix()),
+                 makeResult(mod, 4, CommMode::Global));
+    ASSERT_EQ(cache.loadFrom(path), 2u);
+    EXPECT_EQ(cache.saveTo(path), 3u);
+    EXPECT_NE(fileState(path).inode, before.inode);
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, VersionOneFileRewrittenAtCurrentVersion)
+{
+    const std::string fp = LpfsScheduler().fingerprint();
+    Rng rng(13);
+    Module mod = randomLeaf(rng, 6, 30);
+    auto result = makeResult(mod, 4, CommMode::Global);
+    result->stats.interCoreTeleports = 0;
+    std::vector<uint8_t> v2payload;
+    serializeLeafResult(*result, fp, "", v2payload);
+    std::vector<uint8_t> file = buildCacheFile(
+        1, leafScheduleKey(mod, 4, flatSuffix()),
+        stripToV1Payload(v2payload));
+    const std::string path = tempPath("clean_v1.msqc");
+    writeBytes(path, std::string(file.begin(), file.end()));
+
+    LeafScheduleCache loaded;
+    ASSERT_EQ(loaded.loadFrom(path), 1u);
+    const FileState before = fileState(path);
+    EXPECT_EQ(loaded.saveTo(path), 1u);
+    const FileState after = fileState(path);
+    EXPECT_NE(after.inode, before.inode);
+    std::vector<uint8_t> bytes(after.bytes.begin(), after.bytes.end());
+    EXPECT_EQ(le32At(bytes, 4), cacheFileVersion);
+    LeafScheduleCache reloaded;
+    EXPECT_EQ(reloaded.loadFrom(path), 1u);
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, CorruptDuplicateTrailingOrUnsortedFileRewrites)
+{
+    const std::string path = savedPair("clean_inexact.msqc");
+    const std::string clean = fileState(path).bytes;
+    // Split the clean file into its 20-byte header and two entries
+    // (u32 keyLen | key | u64 payloadLen | u64 checksum | payload).
+    const std::vector<uint8_t> raw(clean.begin(), clean.end());
+    const size_t headerBytes = 20;
+    std::vector<std::string> entries;
+    for (size_t pos = headerBytes; pos < raw.size();) {
+        size_t keyLen = le32At(raw, pos);
+        size_t lenPos = pos + 4 + keyLen;
+        uint64_t payloadLen = le32At(raw, lenPos) |
+                              (uint64_t(le32At(raw, lenPos + 4)) << 32);
+        size_t end = lenPos + 16 + payloadLen;
+        entries.push_back(clean.substr(pos, end - pos));
+        pos = end;
+    }
+    ASSERT_EQ(entries.size(), 2u);
+    auto withCount = [&](uint64_t count) {
+        std::string header = clean.substr(0, headerBytes);
+        for (int i = 0; i < 8; ++i)
+            header[12 + i] = static_cast<char>(count >> (8 * i));
+        return header;
+    };
+    std::string corrupt = clean;
+    corrupt[corrupt.size() - 5] ^= 0x40;
+
+    struct Variant
+    {
+        const char *name;
+        std::string bytes;
+        size_t loads;
+    };
+    const Variant variants[] = {
+        {"corrupt entry", corrupt, 1},
+        {"duplicate entry",
+         withCount(3) + entries[0] + entries[1] + entries[1], 2},
+        {"trailing bytes", clean + "junk", 2},
+        {"unsorted keys", withCount(2) + entries[1] + entries[0], 2},
+    };
+    for (const Variant &variant : variants) {
+        SCOPED_TRACE(variant.name);
+        writeBytes(path, variant.bytes);
+        LeafScheduleCache loaded;
+        ASSERT_EQ(loaded.loadFrom(path), variant.loads);
+        const FileState before = fileState(path);
+        EXPECT_EQ(loaded.saveTo(path), variant.loads);
+        const FileState after = fileState(path);
+        EXPECT_NE(after.inode, before.inode);
+        if (variant.loads == 2) {
+            EXPECT_EQ(after.bytes, clean);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, DeletedOrReplacedFileRewrites)
+{
+    const std::string path = savedPair("clean_replaced.msqc");
+    const std::string clean = fileState(path).bytes;
+    LeafScheduleCache loaded;
+    ASSERT_EQ(loaded.loadFrom(path), 2u);
+
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.saveTo(path), 2u);
+    EXPECT_EQ(fileState(path).bytes, clean);
+
+    // Replace the (again clean) file with another cache's file.
+    const std::string other = tempPath("clean_replaced_other.msqc");
+    LeafScheduleCache one;
+    Rng rng(37);
+    Module mod = randomLeaf(rng, 5, 15);
+    one.insert(leafScheduleKey(mod, 4, flatSuffix()),
+               makeResult(mod, 4, CommMode::Global));
+    ASSERT_EQ(one.saveTo(other), 1u);
+    ASSERT_EQ(std::rename(other.c_str(), path.c_str()), 0);
+    EXPECT_EQ(loaded.saveTo(path), 2u);
+    EXPECT_EQ(fileState(path).bytes, clean);
+    std::remove(path.c_str());
+}
+
+TEST(CleanSave, SaveToAnotherPathWrites)
+{
+    const std::string path = savedPair("clean_source.msqc");
+    const FileState source = fileState(path);
+    // Another file with the same size and mtime but other bytes: only
+    // the path tells it apart from the loaded one.
+    const std::string copy = tempPath("clean_copy.msqc");
+    std::string other = source.bytes;
+    other.back() ^= 0x01;
+    writeBytes(copy, other);
+    std::filesystem::last_write_time(copy, source.mtime);
+
+    LeafScheduleCache loaded;
+    ASSERT_EQ(loaded.loadFrom(path), 2u);
+    EXPECT_EQ(loaded.saveTo(copy), 2u);
+    const FileState written = fileState(copy);
+    EXPECT_EQ(written.bytes, source.bytes);
+    EXPECT_EQ(loaded.saveTo(copy), 2u);
+    EXPECT_EQ(fileState(copy), written);
+    std::remove(path.c_str());
+    std::remove(copy.c_str());
 }
 
 } // namespace

@@ -154,6 +154,17 @@ TEST_P(GoldenDumps, RcpGlobal)
                              CommMode::Global));
 }
 
+TEST_P(GoldenDumps, RcpGlobalFiniteWidth)
+{
+    // d = 2: wide ready lists overflow a slot, so RCP orders only the
+    // candidates that can still enter it (extract_optype).
+    Program prog = prepare(GetParam());
+    RcpScheduler rcp;
+    checkGolden(std::string(GetParam()) + "_rcp_k4_d2",
+                dumpWorkload(prog, rcp, MultiSimdArch(4, 2),
+                             CommMode::Global));
+}
+
 TEST_P(GoldenDumps, LpfsGlobal)
 {
     Program prog = prepare(GetParam());

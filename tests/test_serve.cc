@@ -5,7 +5,8 @@
  * hashing, replay determinism, batch-vs-sequential equivalence, and the
  * warm-start contract — a daemon restarted onto a persisted cache
  * answers bit-identically to the cold process that wrote it, at leaf
- * hit rate 1.0.
+ * hit rate 1.0 — and the served lower bound, which reads its leaf
+ * terms from the schedule, equals a fresh bound analysis.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/bounds.hh"
 #include "core/serve.hh"
+#include "core/toolflow.hh"
 #include "support/json.hh"
 #include "support/strings.hh"
+#include "workloads/workloads.hh"
 
 namespace {
 
@@ -279,6 +283,140 @@ TEST(Serve, WarmStartIsBitIdenticalAtHitRateOne)
     EXPECT_EQ(warm.cache().hitRate(), 1.0);
     EXPECT_EQ(warm.cache().loads(), cold.cache().size());
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// The served lower bound takes its leaf terms from the schedule
+// (ProgramSchedule::leafBounds). It must equal a fresh
+// MakespanBoundAnalysis of the same lowered program, cold and warm.
+// ---------------------------------------------------------------------
+
+/** Compile @p spec as the engine does for @p arch and return the fresh,
+ * schedule-free lower bound of the lowered program. */
+uint64_t
+freshLowerBound(const workloads::WorkloadSpec &spec, SchedulerKind kind,
+                const MultiSimdArch &arch,
+                const std::shared_ptr<LeafScheduleCache> &cache)
+{
+    ToolflowConfig config;
+    config.scheduler = kind;
+    config.arch = arch;
+    config.commMode = CommMode::Global;
+    config.rotations = Toolflow::rotationPresetFor(spec.shortName);
+    config.numThreads = 1;
+    config.sharedLeafCache = cache;
+    Program prog = spec.build();
+    Toolflow(config).run(prog);
+    return MakespanBoundAnalysis(prog, arch, CommMode::Global)
+        .programLowerBound();
+}
+
+void
+expectServedBoundsFresh(const std::string &topology)
+{
+    // One file per test: ctest may run the topologies concurrently.
+    const std::string path =
+        testing::TempDir() + "served_bound_" +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".msqc";
+    std::remove(path.c_str());
+    ServeOptions options;
+    options.cachePath = path;
+    options.topology = topology;
+    MultiSimdArch arch(options.k);
+    std::string error;
+    if (!topology.empty()) {
+        ASSERT_TRUE(parseTopologySpec(topology, arch, error)) << error;
+    }
+
+    struct Case
+    {
+        workloads::WorkloadSpec spec;
+        SchedulerKind kind;
+        std::string line;
+    };
+    std::vector<Case> cases;
+    for (const auto &spec : workloads::scaledParams()) {
+        for (SchedulerKind kind : {SchedulerKind::Rcp, SchedulerKind::Lpfs}) {
+            cases.push_back(
+                {spec, kind,
+                 csprintf("{\"workload\": \"%s\", \"scheduler\": "
+                          "\"%s\", \"k\": %u}",
+                          spec.shortName.c_str(),
+                          kind == SchedulerKind::Rcp ? "rcp" : "lpfs",
+                          options.k)});
+        }
+    }
+
+    ServeEngine cold(options);
+    std::vector<uint64_t> coldBounds;
+    for (const Case &c : cases) {
+        auto response = serveOne(cold, c.line);
+        ASSERT_TRUE(response->get("ok").asBool()) << c.line;
+        coldBounds.push_back(response->get("lower_bound").asUnsigned());
+    }
+    ASSERT_NE(cold.saveCache(), SIZE_MAX);
+
+    ServeEngine warm(options);
+    ASSERT_EQ(warm.loadCache(), cold.cache().size());
+    auto freshCache = std::make_shared<LeafScheduleCache>();
+    for (size_t i = 0; i < cases.size(); ++i) {
+        auto response = serveOne(warm, cases[i].line);
+        ASSERT_TRUE(response->get("ok").asBool()) << cases[i].line;
+        const uint64_t fresh =
+            freshLowerBound(cases[i].spec, cases[i].kind, arch, freshCache);
+        EXPECT_GT(fresh, 0u) << cases[i].line;
+        EXPECT_EQ(coldBounds[i], fresh) << cases[i].line;
+        EXPECT_EQ(response->get("lower_bound").asUnsigned(), fresh)
+            << cases[i].line;
+    }
+    EXPECT_EQ(warm.cache().misses(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(ServedLowerBound, FlatMachineMatchesFreshAnalysis)
+{
+    expectServedBoundsFresh("");
+}
+
+TEST(ServedLowerBound, FourCoreRingMatchesFreshAnalysis)
+{
+    expectServedBoundsFresh("cores=4,k=1,shape=ring,link-bw=2");
+}
+
+TEST(ServedLowerBound, SweepWithoutKFallsBackToComputing)
+{
+    const MultiSimdArch arch(4);
+    for (const std::vector<unsigned> &widths :
+         {std::vector<unsigned>{1, 2}, std::vector<unsigned>{1, 2, 4}}) {
+        const bool sweepsK = widths.back() == arch.k;
+        ToolflowConfig config;
+        config.arch = arch;
+        config.commMode = CommMode::Global;
+        config.coarseWidths = widths;
+        config.numThreads = 1;
+        Program prog = workloads::scaledParams()[0].build();
+        ToolflowResult result = Toolflow(config).run(prog);
+
+        size_t leaves = 0, known = 0;
+        for (ModuleId id = 0; id < prog.numModules(); ++id) {
+            if (!result.schedule.modules[id].leaf)
+                continue;
+            ++leaves;
+            if (result.schedule.leafBounds(id, arch.k) != nullptr)
+                ++known;
+        }
+        ASSERT_GT(leaves, 0u);
+        EXPECT_EQ(known, sweepsK ? leaves : 0u);
+
+        const MakespanBoundAnalysis viaSchedule(
+            prog, arch, config.commMode, nullptr, [&](ModuleId id) {
+                return result.schedule.leafBounds(id, arch.k);
+            });
+        EXPECT_EQ(viaSchedule.programLowerBound(),
+                  MakespanBoundAnalysis(prog, arch, config.commMode)
+                      .programLowerBound());
+    }
 }
 
 } // namespace

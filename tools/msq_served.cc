@@ -69,7 +69,9 @@ usage(const char *argv0)
         << "                   responses stay in request order)\n"
         << "  --cache=<path>   persistent leaf-schedule cache file\n"
         << "  --save-every=<n> save the cache every n requests\n"
-        << "                   (default 64; 0 = only at EOF)\n"
+        << "                   (default 64; 0 = only at EOF); a save\n"
+        << "                   with no new entry since the last load or\n"
+        << "                   save leaves the file untouched\n"
         << "  --metrics=<path> write a metrics JSON snapshot there\n"
         << "  --flush-every=<n> metrics flush cadence (default 64;\n"
         << "                   0 = only at EOF)\n"
